@@ -14,10 +14,16 @@ import (
 // resilient caller inside its retry/backoff, a heavy publisher
 // accumulated unbounded goroutines and every failure vanished. A
 // PeerQueue runs exactly one sender goroutine per peer, bounds the
-// backlog to a fixed capacity (newest events win — a revocation that
-// overwrites an older one is strictly fresher information), and counts
-// enqueues, sends, failures and drops so the loss is visible in /metrics
-// instead of silent.
+// backlog to a fixed capacity by dropping the oldest events, and counts
+// enqueues, sends, failures and drops so the loss is visible in /metrics.
+//
+// Dropping the oldest is safe only between events about the same
+// credential, where the newer one is the fresher word. The queue holds
+// events about many credentials, so a dropped event can be the only
+// revocation of a different credential, and the peer never learns of
+// it: the counter is the only trace. Replacing this push relay with the
+// gap-marked pull Feed, which signals such a loss in band, is ROADMAP
+// open item 1.
 type PeerQueue struct {
 	send     func(Event) error
 	capacity int

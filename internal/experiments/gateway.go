@@ -7,7 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/gateway"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/rpc"
 )
@@ -251,11 +252,8 @@ func RunGateway(latencyOps int, window time.Duration, workers int) (GatewayResul
 }
 
 func quantiles(lat []float64) (p50, p99 float64) {
-	if len(lat) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(lat)
-	return lat[len(lat)/2], lat[len(lat)*99/100]
+	slices.Sort(lat)
+	return obs.Quantile(lat, 50), obs.Quantile(lat, 99)
 }
 
 // runGatewayLatency measures the same sequential verdict through both

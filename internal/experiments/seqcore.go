@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/event"
+	"repro/internal/obs"
 	"repro/internal/policy"
 )
 
@@ -144,9 +145,9 @@ func seqcorePoint(variant string, mailbox, procs int, window time.Duration) (Seq
 	row.Ops = ops
 	row.NsPerOp = float64(elapsed.Nanoseconds()) / float64(ops)
 	row.OpsPerSec = float64(ops) / elapsed.Seconds()
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	row.RevokeP50Ms = float64(all[len(all)/2].Nanoseconds()) / 1e6
-	row.RevokeP99Ms = float64(all[len(all)*99/100].Nanoseconds()) / 1e6
+	slices.Sort(all)
+	row.RevokeP50Ms = float64(obs.Quantile(all, 50).Nanoseconds()) / 1e6
+	row.RevokeP99Ms = float64(obs.Quantile(all, 99).Nanoseconds()) / 1e6
 
 	// Invariants: nothing lost — every pair accounted for in the service
 	// stats, and the synced journal replays to exactly the revoked set.

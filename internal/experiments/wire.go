@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,12 +154,12 @@ func runWireLatency(mode string, ops int) (WireLatencyRow, error) {
 		}
 		lat[i] = float64(time.Since(start).Nanoseconds())
 	}
-	sort.Float64s(lat)
+	slices.Sort(lat)
 	return WireLatencyRow{
 		Mode:     mode,
 		Ops:      ops,
-		MedianNs: lat[len(lat)/2],
-		P99Ns:    lat[len(lat)*99/100],
+		MedianNs: obs.Quantile(lat, 50),
+		P99Ns:    obs.Quantile(lat, 99),
 	}, nil
 }
 

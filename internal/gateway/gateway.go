@@ -26,15 +26,30 @@
 // PR 5 hot path: concurrent /validate requests coalesce into
 // validate_batch flights through core.RemoteValidator, over whatever
 // pooled transport the caller was built on.
+//
+// /validate is the request a relying party pays on every use of a
+// credential, so its body skips reflection: the handler reads it into
+// a pooled buffer and scans the canonical {"principal","rmc"} shape in
+// one pass (cert.JSONScanner). The scan accepts only what json.Decoder
+// decodes to the same value without error; every other body (an
+// appointment, escapes, odd keys or numbers, trailing bytes, a body
+// larger than the buffer) goes to the same json.Decoder call as the
+// other endpoints, fed the bytes already read and then the rest of the
+// stream, so status codes and error texts do not depend on which path
+// ran. gw_validate_decode_fallback_total counts the fallbacks. The
+// positive verdict is written from pre-encoded bytes.
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cert"
@@ -103,10 +118,11 @@ type Gateway struct {
 	inflight chan struct{}
 	maxBody  int64
 
-	reg          *obs.Registry
-	inflightG    *obs.Gauge
-	dropOverload *obs.Counter
-	dropRate     *obs.Counter
+	reg            *obs.Registry
+	inflightG      *obs.Gauge
+	dropOverload   *obs.Counter
+	dropRate       *obs.Counter
+	decodeFallback *obs.Counter
 }
 
 // New builds a Gateway from cfg. Caller and Validator are required.
@@ -140,6 +156,7 @@ func New(cfg Config) (*Gateway, error) {
 	g.inflightG = cfg.Obs.Gauge("gw_inflight")
 	g.dropOverload = cfg.Obs.Counter(`gw_admission_dropped_total{reason="overload"}`)
 	g.dropRate = cfg.Obs.Counter(`gw_admission_dropped_total{reason="ratelimit"}`)
+	g.decodeFallback = cfg.Obs.Counter("gw_validate_decode_fallback_total")
 	if g.cache != nil && cfg.Obs != nil {
 		for _, m := range []struct {
 			name string
@@ -311,9 +328,67 @@ func (g *Gateway) decode(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-func (g *Gateway) handleValidate(w http.ResponseWriter, r *http.Request) int {
+// validateBufSize is the pooled read buffer of /validate. A canonical
+// request is ~330 bytes, so this holds an RMC with dozens of parameters;
+// a larger body takes the streaming fallback.
+const validateBufSize = 4 << 10
+
+var validateBufPool = sync.Pool{New: func() any {
+	b := make([]byte, validateBufSize)
+	return &b
+}}
+
+// validateKeys are the members of the canonical /validate body.
+var validateKeys = []string{"principal", "rmc"}
+
+// scanValidate decodes the canonical /validate body,
+// {"principal":"…","rmc":{…}}, in one pass. It reports false for any
+// body it cannot decode exactly as json.Decoder would (the rules are
+// cert.JSONScanner's; an appointment is one such body).
+func scanValidate(b []byte) (req ValidateRequest, ok bool) {
+	s := cert.NewJSONScanner(b)
+	s.Object(validateKeys, func(i int) {
+		if i == 0 {
+			req.Principal = s.Str()
+			return
+		}
+		rmc := s.RMC()
+		req.RMC = &rmc
+	})
+	return req, s.End()
+}
+
+// decodeValidate reads a /validate body within the size cap. A body
+// that fits the pooled buffer and scans is decoded without reflection;
+// every other body goes to the same json.Decoder call as the other
+// endpoints, reading the bytes already taken and then the rest of the
+// stream, so it sees exactly the input — and returns exactly the value
+// or error — it would have seen alone.
+func (g *Gateway) decodeValidate(w http.ResponseWriter, r *http.Request) (ValidateRequest, error) {
+	body := http.MaxBytesReader(w, r.Body, g.maxBody)
+	r.Body = body
+	bp := validateBufPool.Get().(*[]byte)
+	defer validateBufPool.Put(bp)
+	n, err := io.ReadFull(body, *bp)
+	read := (*bp)[:n]
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		if req, ok := scanValidate(read); ok {
+			return req, nil
+		}
+	}
+	g.decodeFallback.Inc()
 	var req ValidateRequest
-	if err := g.decode(w, r, &req); err != nil {
+	err = json.NewDecoder(io.MultiReader(bytes.NewReader(read), body)).Decode(&req)
+	return req, err
+}
+
+// validBody is the positive verdict, encoded once: it is the response
+// the edge writes most.
+var validBody = []byte("{\"valid\":true}\n")
+
+func (g *Gateway) handleValidate(w http.ResponseWriter, r *http.Request) int {
+	req, err := g.decodeValidate(w, r)
+	if err != nil {
 		return writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 	}
 	if (req.RMC == nil) == (req.Appointment == nil) {
@@ -326,7 +401,6 @@ func (g *Gateway) handleValidate(w http.ResponseWriter, r *http.Request) int {
 	if ok, code := g.ratelimit(w, key); !ok {
 		return code
 	}
-	var err error
 	switch {
 	case g.cache != nil && req.RMC != nil:
 		err = g.cache.ValidateRMC(*req.RMC, req.Principal)
@@ -339,7 +413,10 @@ func (g *Gateway) handleValidate(w http.ResponseWriter, r *http.Request) int {
 	}
 	switch {
 	case err == nil:
-		return writeJSON(w, http.StatusOK, ValidateResponse{Valid: true})
+		w.Header()["Content-Type"] = jsonContentType
+		w.WriteHeader(http.StatusOK)
+		w.Write(validBody) //nolint:errcheck // client gone; nothing to do
+		return http.StatusOK
 	case errors.Is(err, core.ErrRevoked):
 		return writeJSON(w, http.StatusOK, ValidateResponse{Valid: false, Reason: err.Error()})
 	default:
@@ -402,7 +479,7 @@ func (g *Gateway) forward(w http.ResponseWriter, service, method string, req any
 	if err != nil {
 		return g.upstreamError(w, err)
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	w.Write(out) //nolint:errcheck // client gone; nothing to do
 	return http.StatusOK
@@ -468,9 +545,13 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, resp)
 }
 
+// jsonContentType is the Content-Type of every JSON response, shared so
+// setting it allocates nothing. net/http only reads header values.
+var jsonContentType = []string{"application/json; charset=utf-8"}
+
 // writeJSON writes v with the given status and returns the status.
 func writeJSON(w http.ResponseWriter, code int, v any) int {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
 	return code

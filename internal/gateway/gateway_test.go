@@ -57,7 +57,7 @@ type backend struct {
 	addr string
 }
 
-func startBackend(t *testing.T, policyText string) *backend {
+func startBackend(t testing.TB, policyText string) *backend {
 	t.Helper()
 	broker := event.NewBroker()
 	t.Cleanup(broker.Close)
@@ -95,7 +95,7 @@ type edge struct {
 	client    *http.Client
 }
 
-func startEdge(t *testing.T, b *backend, mutate func(*Config)) *edge {
+func startEdge(t testing.TB, b *backend, mutate func(*Config)) *edge {
 	t.Helper()
 	dir := rpc.NewDirectoryPool(5*time.Second, 2)
 	t.Cleanup(dir.Close)
@@ -141,7 +141,7 @@ func (e *edge) post(t *testing.T, path string, req, out any) int {
 	return resp.StatusCode
 }
 
-func activateAt(t *testing.T, b *backend, principal string) cert.RMC {
+func activateAt(t testing.TB, b *backend, principal string) cert.RMC {
 	t.Helper()
 	rmc, err := b.svc.Activate(principal,
 		names.MustRole(names.MustRoleName("login", "user", 0)), core.Presented{})
@@ -181,7 +181,10 @@ func TestValidateEndToEnd(t *testing.T) {
 }
 
 func TestValidateBadRequests(t *testing.T) {
-	b := startBackend(t, `login.user <- env ok.`)
+	b := startBackend(t, `
+login.user <- env ok.
+auth appoint_badge(K) <- login.user.
+`)
 	e := startEdge(t, b, nil)
 	rmc := activateAt(t, b, "alice-key")
 
@@ -219,6 +222,47 @@ func TestValidateBadRequests(t *testing.T) {
 	stray.Ref.Issuer = "nowhere"
 	if code := e.post(t, "/validate", ValidateRequest{Principal: "alice-key", RMC: &stray}, nil); code != http.StatusNotFound {
 		t.Errorf("unknown issuer: status = %d, want 404", code)
+	}
+
+	// Bodies the scan-once decoder refuses keep their json.Decoder
+	// answers: the fallback sees exactly the bytes the handler read.
+	postRaw := func(body []byte) (int, ValidateResponse) {
+		t.Helper()
+		resp, err := e.client.Post(e.url+"/validate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v ValidateResponse
+		json.NewDecoder(resp.Body).Decode(&v) //nolint:errcheck // status is the check
+		return resp.StatusCode, v
+	}
+	canonical, err := json.Marshal(ValidateRequest{Principal: "alice-key", RMC: &rmc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.reg.Value("gw_validate_decode_fallback_total")
+	huge := append([]byte(`{"principal":"`), bytes.Repeat([]byte("k"), DefaultMaxBodyBytes)...)
+	huge = append(huge, canonical[len(`{"principal":"`):]...)
+	if code, _ := postRaw(huge); code != http.StatusBadRequest {
+		t.Errorf("body over MaxBodyBytes: status = %d, want 400", code)
+	}
+	// json.Decoder stops at the end of the first value, so trailing
+	// bytes have never been an error.
+	if code, v := postRaw(append(canonical, "garbage"...)); code != http.StatusOK || !v.Valid {
+		t.Errorf("valid object + trailing garbage: status %d, verdict %+v; want 200 valid", code, v)
+	}
+	badge, err := b.svc.Appoint("alice-key", core.AppointmentRequest{Kind: "badge", Holder: "contractor-key",
+		Params: []names.Term{names.Atom("gate3")}}, core.Presented{RMCs: []cert.RMC{rmc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var verdict ValidateResponse
+	if code := e.post(t, "/validate", ValidateRequest{Appointment: &badge}, &verdict); code != http.StatusOK || !verdict.Valid {
+		t.Errorf("appointment: status %d, verdict %+v; want 200 valid", code, verdict)
+	}
+	if got := e.reg.Value("gw_validate_decode_fallback_total") - before; got != 3 {
+		t.Errorf("fallback decodes = %d, want 3 (oversized, trailing garbage, appointment)", got)
 	}
 }
 

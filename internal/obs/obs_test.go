@@ -267,3 +267,19 @@ func TestConcurrentRegistryAndTracer(t *testing.T) {
 		t.Errorf("trace total = %d, want %d", got, writers*perWriter)
 	}
 }
+
+func TestQuantile(t *testing.T) {
+	if got := Quantile([]float64(nil), 99); got != 0 {
+		t.Errorf("Quantile(empty) = %v, want 0", got)
+	}
+	xs := make([]int64, 100)
+	for i := range xs {
+		xs[i] = int64(i + 1)
+	}
+	if p50, p99 := Quantile(xs, 50), Quantile(xs, 99); p50 != 51 || p99 != 100 {
+		t.Errorf("Quantile(1..100) p50, p99 = %d, %d; want 51, 100", p50, p99)
+	}
+	if got := Quantile([]string{"only"}, 99); got != "only" {
+		t.Errorf("Quantile(one) = %q", got)
+	}
+}

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cert"
@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/names"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/rpc"
 )
@@ -268,9 +269,9 @@ auth enter_badged <- appt login.badge.
 	res.ChurnElapsed = time.Since(churnStart)
 	runtime.ReadMemStats(&ms)
 	res.AllocsPerOp = float64(ms.Mallocs-mallocsBefore) / float64(cfg.Ops)
-	sort.Slice(latencies, func(a, b int) bool { return latencies[a] < latencies[b] })
-	res.P50Ns = latencies[len(latencies)/2]
-	res.P99Ns = latencies[len(latencies)*99/100]
+	slices.Sort(latencies)
+	res.P50Ns = obs.Quantile(latencies, 50)
+	res.P99Ns = obs.Quantile(latencies, 99)
 	if res.Denied > res.Revocations {
 		res.Violations = append(res.Violations, fmt.Sprintf(
 			"%d denials for %d revocations: denials must only come from in-flight cascades",
