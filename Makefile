@@ -86,9 +86,9 @@ replication:
 	$(GO) run ./cmd/benchtab -exp replication -replication-json BENCH_replication.json
 
 # E20: per-shard sequencer core — sustained mixed issue/revoke pair
-# throughput against a real journal, sequenced apply loop vs the direct
-# inline write path, plus revoke-latency percentiles (the revocation
-# publish-latency bound) (BENCH_seqcore.json).
+# throughput against a real journal, group-journaled sequencer batches
+# vs a per-record journaling comparator, plus revoke-latency percentiles
+# (the revocation publish-latency bound) (BENCH_seqcore.json).
 seqcore:
 	$(GO) run ./cmd/benchtab -exp seqcore -seqcore-json BENCH_seqcore.json
 

@@ -282,25 +282,6 @@ func appendTerm(dst []byte, t names.Term) []byte {
 // protected from tampering and theft").
 func MarshalRMC(r RMC) ([]byte, error) { return json.Marshal(r) }
 
-// EncodeRMCGob encodes an RMC in the compact binary form used by
-// gob-framed transports.
-func EncodeRMCGob(r RMC) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, fmt.Errorf("gob encode rmc: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeRMCGob decodes the gob form.
-func DecodeRMCGob(b []byte) (RMC, error) {
-	var r RMC
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
-		return RMC{}, fmt.Errorf("gob decode rmc: %w", err)
-	}
-	return r, nil
-}
-
 // EncodeAppointmentGob encodes an appointment certificate in binary form.
 func EncodeAppointmentGob(a AppointmentCertificate) ([]byte, error) {
 	var buf bytes.Buffer

@@ -266,21 +266,6 @@ func TestAppointmentKey(t *testing.T) {
 
 func TestGobRoundTrips(t *testing.T) {
 	ring := testRing(t)
-	r, err := IssueRMC(ring, "p", doctorRole(t), CRR{Issuer: "h", Serial: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := EncodeRMCGob(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rBack, err := DecodeRMCGob(rb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rBack.Verify(ring, "p"); err != nil {
-		t.Errorf("gob round-tripped RMC failed verification: %v", err)
-	}
 	a := newAppointment(t, ring, time.Time{})
 	ab, err := EncodeAppointmentGob(a)
 	if err != nil {
@@ -292,9 +277,6 @@ func TestGobRoundTrips(t *testing.T) {
 	}
 	if err := aBack.Verify(ring, time.Unix(0, 0)); err != nil {
 		t.Errorf("gob round-tripped appointment failed verification: %v", err)
-	}
-	if _, err := DecodeRMCGob([]byte("junk")); err == nil {
-		t.Error("garbage gob RMC decoded")
 	}
 	if _, err := DecodeAppointmentGob([]byte("junk")); err == nil {
 		t.Error("garbage gob appointment decoded")

@@ -4,28 +4,38 @@ import (
 	"fmt"
 
 	"repro/internal/cert"
+	"repro/internal/durable"
 	"repro/internal/names"
 	"repro/internal/sign"
 )
 
-// Journal receives the engine's durable-state mutation hooks. A service
-// configured with a Journal reports every credential-record issue and
-// revocation and every appointment issue and revocation, so a journal
-// implementation (internal/durable) can replay them after a crash.
-// Implementations decide the durability class per hook: the contract here
-// is only ordering — each hook is called after the in-memory mutation has
-// been applied, and revocation/issue hooks for long-lived credentials
-// should not return before the record is durable.
+// Journal receives the engine's durable-state mutations. Every
+// credential-record and appointment issue/revoke and every signing-key
+// install reaches it as part of one AppendGroup call per sequencer
+// batch, so a journal implementation (internal/durable) can replay them
+// after a crash. recs is the batch's records in apply order, already
+// applied in memory; the slice is reused after the call returns. wait
+// is false only when every record is a credential-record issue (the
+// failure direction of a lost issue is fail-closed denial); otherwise
+// AppendGroup must not return before the whole group is durable,
+// because the batch's revocations publish as soon as it returns.
 type Journal interface {
-	// CRIssued reports a freshly issued credential record.
-	CRIssued(service string, serial uint64, subject, holder string)
-	// CRRevoked reports a credential-record revocation. Called only for
-	// the winning revocation (revoke-once semantics upstream).
-	CRRevoked(service string, serial uint64, reason string)
-	// ApptIssued reports an issued appointment certificate, in full.
-	ApptIssued(service string, a cert.AppointmentCertificate)
-	// ApptRevoked reports an appointment revocation.
-	ApptRevoked(service string, serial uint64, reason string)
+	AppendGroup(recs []durable.Record, wait bool) error
+}
+
+// GroupJournal is Journal under its earlier name, from when Journal
+// also carried per-record hooks and AppendGroup was an optional
+// extension. The benchmark harness (perfbench, a separate module)
+// still names it in compile-time assertions.
+type GroupJournal = Journal
+
+// KeyJournal is the per-record key-install hook that
+// *durable.Log.KeysInstalled satisfies. The service journals key
+// installs through AppendGroup (see Service.InstallKeys) and never
+// calls it; it stays declared because the benchmark harness asserts
+// its journal wrapper against it.
+type KeyJournal interface {
+	KeysInstalled(service string, retain int, secrets []sign.Secret) error
 }
 
 // RecordRestorer is the optional RecordStore extension used during crash

@@ -1,25 +1,58 @@
 package core
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
-	"repro/internal/cert"
+	"repro/internal/durable"
 )
 
-// captureJournal records the revocation hooks a service fires.
+// captureJournal records every AppendGroup call the services make.
 type captureJournal struct {
-	issued  []uint64
-	revoked []uint64
+	mu     sync.Mutex
+	groups []journalGroup
 }
 
-func (c *captureJournal) CRIssued(service string, serial uint64, subject, holder string) {
-	c.issued = append(c.issued, serial)
+// journalGroup is one captured AppendGroup call.
+type journalGroup struct {
+	recs []durable.Record
+	wait bool
 }
-func (c *captureJournal) CRRevoked(service string, serial uint64, reason string) {
-	c.revoked = append(c.revoked, serial)
+
+func (c *captureJournal) AppendGroup(recs []durable.Record, wait bool) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.groups = append(c.groups, journalGroup{recs: slices.Clone(recs), wait: wait})
+	return nil
 }
-func (c *captureJournal) ApptIssued(service string, a cert.AppointmentCertificate) {}
-func (c *captureJournal) ApptRevoked(service string, serial uint64, reason string) {}
+
+// since returns the groups captured after the first n.
+func (c *captureJournal) since(n int) []journalGroup {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.groups[n:])
+}
+
+// count returns the number of groups captured so far.
+func (c *captureJournal) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.groups)
+}
+
+// revoked lists the serials of every journaled CR revocation, in order.
+func (c *captureJournal) revoked() []uint64 {
+	var out []uint64
+	for _, g := range c.since(0) {
+		for _, r := range g.recs {
+			if r.Op == durable.OpCRRevoke {
+				out = append(out, r.Serial)
+			}
+		}
+	}
+	return out
+}
 
 // A journal-restored credential record has no session state (crs entry),
 // but logout must still be able to revoke it — otherwise a pre-crash
@@ -46,8 +79,8 @@ func TestEndSessionRevokesRestoredRecords(t *testing.T) {
 	if valid, exists := svc.CRStatus(7); valid || !exists {
 		t.Fatalf("after logout, record 7: valid=%v exists=%v, want revoked", valid, exists)
 	}
-	if len(j.revoked) != 1 || j.revoked[0] != 7 {
-		t.Fatalf("journal saw revocations %v, want [7]", j.revoked)
+	if got := j.revoked(); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("journal saw revocations %v, want [7]", got)
 	}
 
 	// Idempotent: the drained index must not resurrect the serials.

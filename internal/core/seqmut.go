@@ -7,7 +7,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/event"
 	"repro/internal/obs"
-	"repro/internal/sign"
 )
 
 // This file is the mutation spine of the unified async core: every
@@ -20,8 +19,9 @@ import (
 // journal order == broker publish order == replication ship order (the
 // shipper tails the journal, so ship order is disk order for free).
 //
-// The follower's replication applier reuses applyMutState verbatim via
-// ApplyReplicated — there is no parallel copy of the apply logic.
+// There is no other write path. The follower's replication applier
+// submits through the same sequencer via ApplyReplicated, and the
+// journal sees nothing but AppendGroup calls.
 
 // mutKind discriminates the sequencer's mutation operations.
 type mutKind uint8
@@ -80,41 +80,13 @@ func newMutOp(kind mutKind) *mutOp {
 // apply loop owns exactly one serialShard/recordShard pair.
 func seqShardOf(serial uint64) int { return int(serial % crShards) }
 
-// GroupJournal is the journal extension the sequencer prefers: a whole
-// shard batch lands as one contiguous multi-record frame group, with a
-// single durability wait when the batch carries any record that must
-// not be lost (revocations, appointment issues, key installs).
-// internal/durable implements it; a plain Journal still works — the
-// batch falls back to the per-record hooks, in the same order.
-type GroupJournal interface {
-	Journal
-	AppendGroup(recs []durable.Record, wait bool) error
-}
-
-// KeyJournal receives signing-key installs (see Service.InstallKeys).
-type KeyJournal interface {
-	KeysInstalled(service string, retain int, secrets []sign.Secret) error
-}
-
-// runMut pushes op through the sequencer and waits for completion. When
-// the sequencer is disabled (ReadOnly, negative SeqMailbox) or already
-// closed, the op applies inline on the caller's goroutine through the
-// exact same state/journal/publish steps, one op at a time.
+// runMut pushes op through its shard's sequencer and waits until the
+// op's batch has been applied, journaled and published. It is the only
+// way a mutation reaches state, journal or broker, before and after
+// Close alike.
 func (s *Service) runMut(op *mutOp) {
-	if s.seq != nil {
-		if err := s.seq.Submit(seqShardOf(op.shardSerial()), op); err == nil {
-			<-op.done
-			return
-		}
-		// Sequencer closed (service shutting down): apply directly so
-		// late deactivations still land.
-	}
-	s.applyMutState(op, nil)
-	s.journalMutLegacy(op)
-	if op.hasEv && !op.replicated {
-		s.broker.Publish(op.ev) //nolint:errcheck // fire-and-forget fan-out
-	}
-	s.finishMut(op)
+	s.seq.Submit(seqShardOf(op.shardSerial()), op)
+	<-op.done
 }
 
 // shardSerial picks the serial that routes the op to its shard. Every
@@ -168,17 +140,11 @@ func (s *Service) applySeqBatch(shard int, ops []*mutOp) {
 		}
 	}
 	if len(recs) > 0 {
-		if gj, ok := s.journal.(GroupJournal); ok {
-			if err := gj.AppendGroup(recs, wait); err != nil {
-				for _, op := range ops {
-					if op.hasRec {
-						op.err = err
-					}
-				}
-			}
-		} else {
+		if err := s.journal.AppendGroup(recs, wait); err != nil {
 			for _, op := range ops {
-				s.journalMutLegacy(op)
+				if op.hasRec {
+					op.err = err
+				}
 			}
 		}
 	}
@@ -207,18 +173,13 @@ type seqShardScratch struct {
 	crMuts []crMut
 	recs   []durable.Record
 	evs    []event.Event
-	_      [24]byte // pad: neighbouring shards' scratch on separate cache lines
 }
 
 // applyMutState applies op's state mutation and computes its outputs
-// (journal record, event). It is THE apply function: the live path runs
-// it inside the sequencer, the fallback path runs it inline, and the
-// replication follower runs it via ApplyReplicated — identical
-// semantics everywhere by construction.
-//
-// crb controls credential-table batching: non-nil defers table
-// mutations to the caller (the shard apply loop commits them in one
-// lock hold and retires removals); nil applies them immediately.
+// (journal record, event). It is THE apply function, run inside the
+// shard's apply loop for live and replicated ops alike. Credential-table
+// mutations are appended to crb rather than applied: the caller commits
+// them in one lock hold and retires removals.
 func (s *Service) applyMutState(op *mutOp, crb []crMut) []crMut {
 	switch op.kind {
 	case mutCRIssue:
@@ -242,11 +203,7 @@ func (s *Service) applyMutState(op *mutOp, crb []crMut) []crMut {
 				return crb
 			}
 		}
-		if crb != nil {
-			crb = append(crb, crMut{insert: op.cr})
-		} else {
-			s.crs.insert(op.cr)
-		}
+		crb = append(crb, crMut{insert: op.cr})
 		s.stats.activations.Add(1)
 		if s.journal != nil {
 			op.rec = durable.Record{Op: durable.OpCRIssue, Service: s.name, Serial: op.serial, Subject: op.subject, Holder: op.holder}
@@ -271,11 +228,7 @@ func (s *Service) applyMutState(op *mutOp, crb []crMut) []crMut {
 			}
 			return crb
 		}
-		if crb != nil {
-			crb = append(crb, crMut{remove: op.serial})
-		} else if cr := s.crs.remove(op.serial); cr != nil {
-			s.retireCR(cr, op.serial)
-		}
+		crb = append(crb, crMut{remove: op.serial})
 		s.stats.revocations.Add(1)
 		s.buildRevokeEvent(op)
 		if s.journal != nil && !op.replicated {
@@ -380,37 +333,8 @@ func (s *Service) retireCR(cr *CredRecord, serial uint64) {
 	}
 }
 
-// journalMutLegacy journals one op through the per-record Journal
-// hooks — the fallback when no sequencer batch formed or the journal
-// lacks AppendGroup. The hooks' own durability classes apply (issues
-// async, revocations and appointment issues waited).
-func (s *Service) journalMutLegacy(op *mutOp) {
-	if s.journal == nil || !op.hasRec || op.replicated {
-		return
-	}
-	switch op.kind {
-	case mutCRIssue:
-		s.journal.CRIssued(s.name, op.serial, op.subject, op.holder)
-	case mutCRRevoke:
-		s.journal.CRRevoked(s.name, op.serial, op.reason)
-	case mutApptIssue:
-		s.journal.ApptIssued(s.name, op.appt)
-	case mutApptRevoke:
-		s.journal.ApptRevoked(s.name, op.serial, op.reason)
-	case mutKeys:
-		if gj, ok := s.journal.(GroupJournal); ok {
-			op.err = gj.AppendGroup([]durable.Record{op.rec}, true)
-		} else if kj, ok := s.journal.(KeyJournal); ok {
-			op.err = kj.KeysInstalled(s.name, op.rec.Retain, op.rec.Secrets)
-		} else {
-			op.err = fmt.Errorf("service %s: journal %T cannot record key installs", s.name, s.journal)
-		}
-	}
-}
-
 // finishMut records the op's observability tail: cascade histograms and
-// the trace event for winning revocations. Runs after publish, matching
-// the pre-sequencer order.
+// the trace event for winning revocations. Runs after publish.
 func (s *Service) finishMut(op *mutOp) {
 	if op.kind != mutCRRevoke || !op.did {
 		return
@@ -426,9 +350,10 @@ func (s *Service) finishMut(op *mutOp) {
 }
 
 // ApplyReplicated applies one replicated journal record through the
-// same applyMutState the live path uses, and returns the events the
-// caller (a replication follower) must publish on its own broker, in
-// order. Nothing is journaled — the record came from a journal.
+// same sequencer and applyMutState the live path uses, and returns the
+// events the caller (a replication follower) must publish on its own
+// broker, in order. Nothing is journaled — the record came from a
+// journal.
 func (s *Service) ApplyReplicated(r durable.Record) ([]event.Event, error) {
 	op := newMutOp(0)
 	op.replicated = true
@@ -451,8 +376,7 @@ func (s *Service) ApplyReplicated(r durable.Record) ([]event.Event, error) {
 	default:
 		return nil, fmt.Errorf("service %s: op %q is not a replicable mutation", s.name, r.Op)
 	}
-	s.applyMutState(op, nil)
-	s.finishMut(op)
+	s.runMut(op)
 	if op.hasEv {
 		return []event.Event{op.ev}, op.err
 	}

@@ -105,31 +105,22 @@ type Config struct {
 	// domain.CIVRecords).
 	Records RecordStore
 	// Journal, when set, receives every credential-record and
-	// appointment issue/revoke so durable state (internal/durable) can
+	// appointment issue/revoke and every key install, one AppendGroup
+	// per sequencer batch, so durable state (internal/durable) can
 	// replay them after a crash. Nil disables journaling.
 	Journal Journal
 	// KeyRing, when set, is the signing key ring to use — a ring
 	// restored from the journal, so certificates issued before a crash
 	// still verify. Nil generates a fresh ring.
 	KeyRing *sign.KeyRing
-	// SeqMailbox bounds each sequencer shard's mailbox (the unified
-	// async core's per-shard mutation queue; see internal/seq and
-	// seqmut.go). 0 selects the default depth (256); negative disables
-	// the sequencer entirely, applying every mutation inline on the
-	// caller's goroutine — the pre-sequencer behaviour, kept for
-	// baseline comparison (E20) and for stores that need it. A full
-	// mailbox blocks the submitting mutation, which is the end-to-end
-	// backpressure contract: a slow journal or broker pushes back on
-	// the RPC layer instead of growing an unbounded queue.
-	SeqMailbox int
 	// ReadOnly makes the wire handler refuse the mutating methods
 	// (activate, invoke, appoint, revoke, end_session) with ErrReadOnly.
 	// A follower replica (internal/replica) serves validation locally
 	// from replicated state but must never mint or revoke credentials
 	// itself — those belong to the leader, which the replica proxies to
 	// under its lease. Validation methods are unaffected, and the
-	// replication applier still mutates through the Restore*/Revoke APIs
-	// directly (they are not wire methods).
+	// replication applier still mutates through ApplyReplicated and the
+	// Restore* APIs (they are not wire methods).
 	ReadOnly bool
 	// Obs, when set, registers the service's counters and latency
 	// histograms (activation, callback validation, revocation cascade)
@@ -245,10 +236,12 @@ type Service struct {
 	obsm   serviceObs
 	batch  *batcher
 
-	// seq is the per-shard mutation sequencer (nil when disabled):
-	// every issue/revoke/appoint/key-install flows through one ordered
-	// apply loop per shard. seqScratch is the apply loops' per-shard
-	// reusable buffers.
+	// seq is the per-shard mutation sequencer: every issue/revoke/
+	// appoint/key-install, live or replicated, flows through one
+	// ordered apply loop per shard. Each shard's mailbox holds 256 ops;
+	// a full one blocks the submitter, so a slow journal or broker
+	// pushes back on the RPC layer. seqScratch is the apply
+	// loops' per-shard reusable buffers.
 	seq        *seq.Sequencer[*mutOp]
 	seqScratch [crShards]seqShardScratch
 
@@ -383,18 +376,12 @@ func NewService(cfg Config) (*Service, error) {
 	s.observers.Store([]InvokeObserver{})
 	s.obsm = newServiceObs(s, cfg.Name, cfg.Obs, cfg.Trace)
 	s.batch = newBatcher(s, cfg.BatchWindow)
-	// The mutation sequencer. ReadOnly replicas never mutate through
-	// the public API (the replication applier calls ApplyReplicated
-	// directly, already serialised by the stream), so they skip it.
-	if !cfg.ReadOnly && cfg.SeqMailbox >= 0 {
-		s.seq = seq.New(seq.Config[*mutOp]{
-			Shards: crShards,
-			Depth:  cfg.SeqMailbox,
-			Apply:  s.applySeqBatch,
-			Name:   cfg.Name,
-			Obs:    cfg.Obs,
-		})
-	}
+	s.seq = seq.New(seq.Config[*mutOp]{
+		Shards: crShards,
+		Apply:  s.applySeqBatch,
+		Name:   cfg.Name,
+		Obs:    cfg.Obs,
+	})
 	return s, nil
 }
 

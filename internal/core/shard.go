@@ -22,7 +22,7 @@ var principalSeed = maphash.MakeSeed()
 // issued.
 //
 // Lock discipline: a serial shard lock and a principal shard lock are
-// never held together — insert and remove touch them in sequence, and
+// never held together — applyBatch touches them in sequence, and
 // every reader tolerates the brief window in which a record is present in
 // one but not the other (validity always comes from the RecordStore, not
 // from table presence).
@@ -30,7 +30,7 @@ type crTable struct {
 	serials    [crShards]serialShard
 	principals [crShards]principalShard
 	// count tracks the live record population for the resident-state
-	// gauge (core_resident_crs); maintained by insert/remove so reading
+	// gauge (core_resident_crs); maintained by applyBatch so reading
 	// it never sweeps the shards.
 	count atomic.Int64
 }
@@ -56,19 +56,6 @@ func (t *crTable) serialShard(serial uint64) *serialShard {
 
 func (t *crTable) principalShard(principal string) *principalShard {
 	return &t.principals[maphash.String(principalSeed, principal)%crShards]
-}
-
-// insert publishes a freshly issued credential record.
-func (t *crTable) insert(cr *CredRecord) {
-	ss := t.serialShard(cr.Serial)
-	ss.mu.Lock()
-	if ss.crs == nil {
-		ss.crs = make(map[uint64]*CredRecord)
-	}
-	ss.crs[cr.Serial] = cr
-	ss.mu.Unlock()
-
-	t.indexPrincipal(cr)
 }
 
 // indexPrincipal adds a record to the principal index. Called after the
@@ -160,21 +147,6 @@ func (t *crTable) get(serial uint64) *CredRecord {
 	ss.mu.RLock()
 	cr := ss.crs[serial]
 	ss.mu.RUnlock()
-	return cr
-}
-
-// remove unpublishes a record (on deactivation) and returns it, or nil if
-// it was already removed.
-func (t *crTable) remove(serial uint64) *CredRecord {
-	ss := t.serialShard(serial)
-	ss.mu.Lock()
-	cr := ss.crs[serial]
-	delete(ss.crs, serial)
-	ss.mu.Unlock()
-	if cr == nil {
-		return nil
-	}
-	t.unindexPrincipal(cr, serial)
 	return cr
 }
 

@@ -516,15 +516,13 @@ func (s *Service) callbackValidate(kindTag, issuer string, it validateItem) erro
 	return s.batch.do(issuer, it)
 }
 
-// Close cancels the service's cache subscriptions and expiry timers
-// (credential record watches are cancelled by Deactivate).
+// Close stops the service's expiry timers and cancels its cache and
+// membership subscriptions. It does not stop the mutation sequencer: a
+// mutation that arrives after Close (a revocation racing shutdown)
+// still applies, journals and publishes in order through it. If the
+// journal has been closed by then, its AppendGroup error is the
+// mutation's error.
 func (s *Service) Close() {
-	// Drain the mutation sequencer first: Close blocks until every
-	// in-flight Submit has applied, after which late mutations (e.g. a
-	// revocation racing shutdown) take the inline path.
-	if s.seq != nil {
-		s.seq.Close()
-	}
 	s.stopOnce.Do(func() { close(s.stopTimers) })
 	s.timersWG.Wait()
 	subs := s.vcache.subscriptions()

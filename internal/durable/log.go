@@ -884,8 +884,13 @@ func (l *Log) Close() error {
 
 // --- mutation hooks -------------------------------------------------------
 //
-// These methods satisfy the engine's journaling interfaces (core.Journal
-// and store.ChangeFunc) so one Log threads through every layer.
+// Per-record journaling hooks, one record and one durability class per
+// call. core.Service does not call them: it journals every mutation
+// through AppendGroup, one group per sequencer batch. They serve the
+// benchmark harness (perfbench) and E20's per-record comparator
+// (internal/experiments). FactChanged is the exception: it matches
+// store.ChangeFunc, and daemons register it as the fact store's
+// observer.
 
 // CRIssued journals a credential-record issue (async: the failure
 // direction of a lost issue is fail-closed denial after a crash).

@@ -440,11 +440,6 @@ func DialTCPGob(addr string, timeout time.Duration) (*TCPClient, error) {
 	return dialPool(addr, timeout, 1, true)
 }
 
-// DialTCPPoolGob is DialTCPGob with size pooled connections.
-func DialTCPPoolGob(addr string, timeout time.Duration, size int) (*TCPClient, error) {
-	return dialPool(addr, timeout, size, true)
-}
-
 func dialPool(addr string, timeout time.Duration, size int, legacy bool) (*TCPClient, error) {
 	if size < 1 {
 		size = 1

@@ -19,14 +19,15 @@
 // This flat-combining shape keeps the uncontended path inline (no
 // goroutine handoff — roughly a channel send plus a TryLock), batches
 // automatically under contention (the longer Apply takes, the more
-// items the next drain picks up), and leaks nothing when Close is
-// never called — important for the many tests and benchmarks that
-// construct services without tearing them down.
+// items the next drain picks up), and owns no goroutines. A sequencer
+// therefore has no shutdown: every item is drained either by its own
+// submitter or by whichever combiner holds the role, so one that is
+// simply dropped strands nothing and leaks nothing.
 //
-// Backpressure: the mailbox is a bounded channel and Submit blocks on
-// a full shard, so a slow journal or broker pushes back through the
-// sequencer to the RPC layer instead of growing a queue or dropping
-// work downstream.
+// Backpressure: the mailbox is a channel bounded at mailboxDepth (256)
+// items and Submit blocks on a full shard, so a slow journal or broker
+// pushes back through the sequencer to the RPC layer instead of growing
+// a queue or dropping work downstream.
 //
 // Constraint: Apply (and anything it invokes synchronously, such as
 // broker taps) must not call Submit on the same sequencer — the
@@ -35,7 +36,6 @@
 package seq
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -43,10 +43,8 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrClosed is returned by Submit after Close.
-var ErrClosed = errors.New("seq: sequencer closed")
-
-const defaultDepth = 256
+// mailboxDepth bounds each shard's mailbox.
+const mailboxDepth = 256
 
 // Config configures a Sequencer.
 type Config[T any] struct {
@@ -54,10 +52,6 @@ type Config[T any] struct {
 	// submitted to different shards may be applied concurrently;
 	// mutations on one shard are applied in submission order.
 	Shards int
-	// Depth bounds each shard's mailbox. 0 means the default (256).
-	// Submit blocks when the shard's mailbox is full — this is the
-	// end-to-end backpressure contract.
-	Depth int
 	// Apply is called with a batch of items for one shard, in
 	// submission order, with the shard's apply role held: no two
 	// Apply calls for the same shard ever run concurrently.
@@ -79,14 +73,6 @@ type shardState[T any] struct {
 type Sequencer[T any] struct {
 	shards []shardState[T]
 	apply  func(shard int, batch []T)
-
-	// gate serialises Submit against Close: every Submit holds the
-	// read side for its entire duration (enqueue + combine), so once
-	// Close holds the write side every mailbox is provably empty —
-	// each prior submitter either drained its own item or observed a
-	// combiner that was obligated to.
-	gate   sync.RWMutex
-	closed bool
 
 	depthH *obs.Histogram // mailbox depth observed at enqueue
 	applyH *obs.Histogram // ns per Apply call
@@ -110,16 +96,12 @@ func New[T any](cfg Config[T]) *Sequencer[T] {
 	if cfg.Shards < 1 {
 		panic("seq: Config.Shards < 1")
 	}
-	depth := cfg.Depth
-	if depth <= 0 {
-		depth = defaultDepth
-	}
 	s := &Sequencer[T]{
 		shards: make([]shardState[T], cfg.Shards),
 		apply:  cfg.Apply,
 	}
 	for i := range s.shards {
-		s.shards[i].mbox = make(chan T, depth)
+		s.shards[i].mbox = make(chan T, mailboxDepth)
 	}
 	if cfg.Obs != nil {
 		label := ""
@@ -133,21 +115,12 @@ func New[T any](cfg Config[T]) *Sequencer[T] {
 	return s
 }
 
-// Shards returns the number of independent streams.
-func (s *Sequencer[T]) Shards() int { return len(s.shards) }
-
 // Submit enqueues item on shard's ordered stream and guarantees it
 // will be applied (by this goroutine or the shard's current combiner)
 // before the item's completion is signalled by Apply. It blocks while
-// the shard's mailbox is full. Returns ErrClosed after Close.
-func (s *Sequencer[T]) Submit(shard int, item T) error {
+// the shard's mailbox is full.
+func (s *Sequencer[T]) Submit(shard int, item T) {
 	sh := &s.shards[shard%len(s.shards)]
-
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
 
 	s.depthH.Observe(int64(len(sh.mbox)))
 	sh.mbox <- item // bounded: blocks when full (backpressure)
@@ -162,10 +135,9 @@ func (s *Sequencer[T]) Submit(shard int, item T) error {
 		// TryLock failed against *us*. If the mailbox is non-empty
 		// we must re-acquire (or observe a new holder).
 		if len(sh.mbox) == 0 {
-			return nil
+			return
 		}
 	}
-	return nil
 }
 
 // drainLocked runs the shard's apply loop until the mailbox is empty.
@@ -197,15 +169,4 @@ func (s *Sequencer[T]) drainLocked(shard int, sh *shardState[T]) {
 		}
 		sh.buf = batch[:0]
 	}
-}
-
-// Close marks the sequencer closed. It blocks until every in-flight
-// Submit has finished, at which point all mailboxes are empty (each
-// submitter either applied its own item or handed it to a combiner
-// that drained it before returning). Subsequent Submits return
-// ErrClosed. Close is idempotent.
-func (s *Sequencer[T]) Close() {
-	s.gate.Lock()
-	s.closed = true
-	s.gate.Unlock()
 }

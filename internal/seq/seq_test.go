@@ -44,15 +44,11 @@ func TestOrderedApplyPerShard(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for n := 0; n < perW; n++ {
-				if err := s.Submit(0, item{w, n}); err != nil {
-					t.Errorf("Submit: %v", err)
-					return
-				}
+				s.Submit(0, item{w, n})
 			}
 		}(w)
 	}
 	wg.Wait()
-	s.Close()
 
 	for w := 0; w < workers; w++ {
 		seq := got[w]
@@ -86,12 +82,11 @@ func TestBatchingUnderContention(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for n := 0; n < items/8; n++ {
-				_ = s.Submit(0, n)
+				s.Submit(0, n)
 			}
 		}()
 	}
 	wg.Wait()
-	s.Close()
 	if applied.Load() != items {
 		t.Fatalf("applied %d, want %d", applied.Load(), items)
 	}
@@ -102,85 +97,48 @@ func TestBatchingUnderContention(t *testing.T) {
 
 // A full mailbox must block Submit (backpressure), not drop or error.
 func TestBackpressureBlocks(t *testing.T) {
+	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var applied atomic.Int64
 	s := New(Config[int]{
 		Shards: 1,
-		Depth:  1,
 		Apply: func(_ int, batch []int) {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
 			<-release
 			applied.Add(int64(len(batch)))
 		},
 	})
 
 	// First submit becomes the combiner and parks in Apply.
-	go func() { _ = s.Submit(0, 1) }()
-	for {
-		if applied.Load() == 0 && len(s.shards[0].mbox) == 0 {
-			// combiner has drained item 1 and is inside Apply
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	done1 := make(chan struct{})
+	go func() { s.Submit(0, -1); close(done1) }()
+	<-entered
 
-	// Second fills the depth-1 mailbox and parks; third must block
-	// in the channel send.
-	done2 := make(chan struct{})
-	done3 := make(chan struct{})
-	go func() { _ = s.Submit(0, 2); close(done2) }()
-	time.Sleep(10 * time.Millisecond)
-	go func() { _ = s.Submit(0, 3); close(done3) }()
+	// The next mailboxDepth submits fill the mailbox and return at once
+	// (the combiner role is taken); one more must block in the send.
+	for n := 0; n < mailboxDepth; n++ {
+		s.Submit(0, n)
+	}
+	blocked := make(chan struct{})
+	go func() { s.Submit(0, mailboxDepth); close(blocked) }()
 
 	select {
-	case <-done3:
-		t.Fatal("third Submit returned while mailbox full and combiner parked")
+	case <-blocked:
+		t.Fatal("Submit returned while mailbox full and combiner parked")
 	case <-time.After(20 * time.Millisecond):
 	}
 
 	close(release)
-	<-done2
-	<-done3
-	s.Close()
-	if applied.Load() != 3 {
-		t.Fatalf("applied %d, want 3", applied.Load())
+	// Every item is applied once all submitters have returned: each
+	// was drained by its own submitter or by the combiner.
+	<-done1
+	<-blocked
+	if want := int64(mailboxDepth + 2); applied.Load() != want {
+		t.Fatalf("applied %d, want %d", applied.Load(), want)
 	}
-}
-
-// After Close returns, Submit errors and nothing is stranded in a
-// mailbox.
-func TestCloseSemantics(t *testing.T) {
-	var applied atomic.Int64
-	s := New(Config[int]{
-		Shards: 4,
-		Apply: func(_ int, batch []int) {
-			applied.Add(int64(len(batch)))
-		},
-	})
-
-	var wg sync.WaitGroup
-	const n = 2000
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_ = s.Submit(i, i)
-		}(i)
-	}
-	wg.Wait()
-	s.Close()
-
-	if applied.Load() != n {
-		t.Fatalf("applied %d, want %d (items stranded at Close)", applied.Load(), n)
-	}
-	for i := range s.shards {
-		if l := len(s.shards[i].mbox); l != 0 {
-			t.Fatalf("shard %d mailbox non-empty after Close: %d", i, l)
-		}
-	}
-	if err := s.Submit(0, 99); err != ErrClosed {
-		t.Fatalf("Submit after Close: got %v, want ErrClosed", err)
-	}
-	s.Close() // idempotent
 }
 
 // Different shards may apply concurrently; same shard never does.
@@ -213,12 +171,11 @@ func TestShardIndependence(t *testing.T) {
 		go func(sh int) {
 			defer wg.Done()
 			for n := 0; n < 50; n++ {
-				_ = s.Submit(sh, n)
+				s.Submit(sh, n)
 			}
 		}(sh)
 	}
 	wg.Wait()
-	s.Close()
 	if maxConc.Load() < 2 {
 		t.Logf("note: shards never overlapped (maxConc=%d); scheduling-dependent, not a failure", maxConc.Load())
 	}
@@ -234,9 +191,8 @@ func TestMetrics(t *testing.T) {
 		Apply:  func(int, []int) {},
 	})
 	for i := 0; i < 10; i++ {
-		_ = s.Submit(i, i)
+		s.Submit(i, i)
 	}
-	s.Close()
 	for _, name := range []string{
 		`seq_mailbox_depth{service="login"}`,
 		`seq_apply_ns{service="login"}`,
